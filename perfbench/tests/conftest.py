@@ -1,0 +1,11 @@
+"""Run the benchmark's own tests with ``python3 -m pytest perfbench/tests``."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
