@@ -8,10 +8,11 @@ export PYTHONPATH
 
 .PHONY: check test test-fast coverage bench-faults bench-smoke bench \
 	trace-verify trace-regen profile-smoke testgen-smoke serve-smoke \
-	obs-live-smoke bench-serving bench-parallel bench-index bench-dedup
+	obs-live-smoke perfbench-smoke bench-serving bench-parallel bench-index \
+	bench-dedup
 
 check: test bench-faults bench-smoke bench-index bench-dedup trace-verify \
-	profile-smoke testgen-smoke serve-smoke obs-live-smoke
+	profile-smoke testgen-smoke serve-smoke obs-live-smoke perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,6 +57,14 @@ serve-smoke:
 # fire the slo-burn-rate doctor rule; a healthy run must stay silent.
 obs-live-smoke:
 	$(PYTHON) -m repro.serve.live_smoke
+
+# Repository-benchmark gate (~15 s): its own tests, then one short
+# traced crawl, which exits non-zero unless it reports "correct": true.
+# The traced run wraps parse_program, parse_fragment and Document.clone
+# by the names their callers look up, so renaming one fails here.
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) perfbench/run.py --workload crawl_simtube --seed 1 --seconds 2 --trace 1
 
 # Serving load benchmark: latency percentiles, RPS, cache hit rate and
 # 429 counts (writes benchmarks/results/BENCH_serving.json).

@@ -66,8 +66,13 @@ class ElementHost(HostObject):
     def js_set(self, name: str, value: Any) -> None:
         element = self.element
         if name == "innerHTML":
-            element.replace_children(parse_fragment(to_string(value)))
-            self.page.note_dom_mutation(parse_bytes=len(to_string(value)))
+            markup = to_string(value)
+            prototypes = self.page.fragment_prototypes.get(markup)
+            if prototypes is None:
+                prototypes = parse_fragment(markup)
+                self.page.fragment_prototypes[markup] = prototypes
+            element.replace_children([node.clone() for node in prototypes])
+            self.page.note_dom_mutation(parse_bytes=len(markup))
             return
         if name == "textContent":
             element.replace_children([Text(to_string(value))])

@@ -31,6 +31,7 @@ from repro.dom import (
     DomHashes,
     Element,
     HashStats,
+    Node,
     hash_tree,
     parse_document,
     reference_state_hash,
@@ -90,6 +91,12 @@ class Page:
         self.document_host = DocumentHost(self)
         self.window_host = WindowHost(self)
         self._element_hosts: dict[int, ElementHost] = {}
+        #: Parsed ``innerHTML`` markup of this page, by markup text.  An
+        #: assignment inserts clones, so the prototypes are never put in
+        #: a tree or hashed and every clone arrives with cold hash caches,
+        #: exactly like a fresh parse.  (Page scope: markup repeats
+        #: across one page's events, rarely across pages.)
+        self.fragment_prototypes: dict[str, list[Node]] = {}
         self._dirty = False
         #: JavaScript errors swallowed while loading page scripts.
         self.script_errors: list[JavascriptError] = []

@@ -25,6 +25,8 @@ RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 class Node:
     """Base class of every node in the tree."""
 
+    __slots__ = ("parent",)
+
     def __init__(self) -> None:
         self.parent: Optional[Element] = None
 
@@ -62,6 +64,8 @@ class Node:
 class Text(Node):
     """A run of character data."""
 
+    __slots__ = ("_data", "_hash_bytes")
+
     def __init__(self, data: str) -> None:
         super().__init__()
         self._data = data
@@ -80,7 +84,9 @@ class Text(Node):
 
     def clone(self) -> "Text":
         """A detached copy, carrying over the clean hash cache."""
-        copy = Text(self._data)
+        copy = Text.__new__(Text)
+        copy.parent = None
+        copy._data = self._data
         copy._hash_bytes = self._hash_bytes
         return copy
 
@@ -91,6 +97,11 @@ class Text(Node):
 
 class Element(Node):
     """An element node: tag name, attributes and ordered children."""
+
+    __slots__ = (
+        "tag", "attrs", "children", "_document", "_canon_bytes",
+        "_canon_digest", "_region_items", "_node_count", "_open_bytes",
+    )
 
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None) -> None:
         super().__init__()
@@ -123,18 +134,24 @@ class Element(Node):
         """A detached deep copy of the subtree, carrying over clean
         hash caches (used to restore page snapshots without losing the
         Merkle digests of unchanged regions)."""
-        copy = Element(self.tag)
-        copy.attrs = dict(self.attrs)
+        # Direct slot stores: the tag is already lower-case and the
+        # attributes already a plain dict, so __init__ has nothing to add.
+        copy = Element.__new__(Element)
+        copy.parent = None
+        copy.tag = self.tag
+        copy.attrs = self.attrs.copy()
+        copy._document = None
         copy._canon_bytes = self._canon_bytes
         copy._canon_digest = self._canon_digest
         copy._region_items = self._region_items
         copy._node_count = self._node_count
         copy._open_bytes = self._open_bytes
-        append = copy.children.append
+        children = []
         for child in self.children:
             twin = child.clone()
             twin.parent = copy
-            append(twin)
+            children.append(twin)
+        copy.children = children
         return copy
 
     # -- tree manipulation -------------------------------------------------

@@ -26,7 +26,7 @@ from repro.dom.node import (
     VOID_ELEMENTS,
 )
 
-_ENTITY_RE = re.compile(r"&(#x?[0-9a-fA-F]+|[a-zA-Z]+);")
+_ENTITY_RE = re.compile(r"&(#[xX][0-9a-fA-F]+|#[0-9]+|[a-zA-Z]+);")
 
 _NAMED_ENTITIES = {
     "amp": "&",
@@ -37,19 +37,46 @@ _NAMED_ENTITIES = {
     "nbsp": " ",
 }
 
+#: What HTML5 substitutes for an out-of-range or surrogate reference.
+_REPLACEMENT_CHARACTER = "\ufffd"
+
+
+def _code_point(digits: str, base: int) -> str:
+    """The character of a numeric reference, or U+FFFD if it has none."""
+    digits = digits.lstrip("0") or "0"
+    # Longer than "10FFFF" / "1114111" is out of range; checking the
+    # length first also keeps int() off huge digit strings.
+    if len(digits) > (6 if base == 16 else 7):
+        return _REPLACEMENT_CHARACTER
+    value = int(digits, base)
+    if value > 0x10FFFF or 0xD800 <= value <= 0xDFFF:
+        return _REPLACEMENT_CHARACTER
+    return chr(value)
+
 
 def unescape(text: str) -> str:
-    """Resolve the supported character entities in ``text``."""
+    """Resolve the supported character entities in ``text``.
+
+    Numeric references never raise: out-of-range and surrogate code
+    points become U+FFFD, and ``&#`` followed by non-digits stays literal.
+    """
 
     def _replace(match: re.Match[str]) -> str:
         body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
+        if body[:2] in ("#x", "#X"):
+            return _code_point(body[2:], 16)
         if body.startswith("#"):
-            return chr(int(body[1:]))
+            return _code_point(body[1:], 10)
         return _NAMED_ENTITIES.get(body.lower(), match.group(0))
 
     return _ENTITY_RE.sub(_replace, text)
+
+
+#: Case-insensitive, ASCII-only search for the end of a raw-text body.
+_RAW_TEXT_CLOSE = {
+    name: re.compile(f"</{name}", re.IGNORECASE | re.ASCII)
+    for name in RAW_TEXT_ELEMENTS
+}
 
 
 @dataclass
@@ -156,17 +183,15 @@ class HtmlParser:
         if tag.self_closing or tag.name in VOID_ELEMENTS:
             return tag.end
         if tag.name in RAW_TEXT_ELEMENTS:
-            close = f"</{tag.name}"
-            end = html.lower().find(close, tag.end)
-            if end == -1:
+            close = _RAW_TEXT_CLOSE[tag.name].search(html, tag.end)
+            if close is None:
                 if self.strict:
                     raise HtmlParseError(f"unterminated <{tag.name}> element")
-                end = len(html)
-                raw = html[tag.end:end]
-                close_end = end
+                raw = html[tag.end:]
+                close_end = len(html)
             else:
-                raw = html[tag.end:end]
-                close_end = html.find(">", end)
+                raw = html[tag.end:close.start()]
+                close_end = html.find(">", close.start())
                 close_end = len(html) if close_end == -1 else close_end + 1
             if raw:
                 element.append_child(Text(raw))

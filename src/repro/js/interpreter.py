@@ -88,6 +88,10 @@ class Interpreter:
         self.steps = 0
         self._debugger: Optional[Debugger] = None
         self._current_line = 0
+        #: Parsed programs by source text.  Handlers repeat on every
+        #: dispatch of a page and the interpreter never mutates an AST,
+        #: so each distinct source is parsed once per interpreter.
+        self._programs: dict[str, ast.Program] = {}
         #: Trace bus for ``js_fn`` function-frame spans.  Only consulted
         #: when its span layer is on; the default NULL_RECORDER keeps
         #: `_invoke` on the historical fast path.
@@ -106,7 +110,10 @@ class Interpreter:
 
     def run(self, source: str) -> Any:
         """Parse and execute ``source``; returns the last statement's value."""
-        program = parse_program(source)
+        program = self._programs.get(source)
+        if program is None:
+            # A syntax error propagates before anything is cached.
+            program = self._programs[source] = parse_program(source)
         return self.execute_program(program)
 
     def eval_expression(self, source: str) -> Any:

@@ -4,9 +4,16 @@ Supports decimal and hexadecimal numbers, single- and double-quoted
 strings with the common escapes, identifiers, keywords, punctuators and
 both comment styles.  Positions are tracked for error messages and for
 the debugger's line notifications.
+
+Runs of trivia, identifier tails, string bodies and punctuators are each
+matched with one compiled regular expression; line and column are then
+updated from the newline count of the consumed slice.  Numeric literals
+are ASCII-only, as ECMAScript specifies.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import JsSyntaxError
 from repro.js.tokens import KEYWORDS, PUNCTUATORS, Token, TokenType
@@ -24,6 +31,29 @@ _ESCAPES = {
     '"': '"',
     "/": "/",
 }
+
+_ASCII_DIGITS = frozenset("0123456789")
+
+#: Whitespace, line comments and *terminated* block comments.
+_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+", re.S)
+#: ``[\w$]`` matches exactly the characters for which ``str.isalnum()``
+#: holds, plus ``_`` and ``$``.
+_IDENT_TAIL_RE = re.compile(r"[\w$]*")
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]*")
+_DECIMAL_RE = re.compile(r"[0-9]*(?:\.[0-9]*)?")
+_DIGITS_RE = re.compile(r"[0-9]*")
+_STRING_RUN_RE = {
+    '"': re.compile(r'[^"\\\n]*'),
+    "'": re.compile(r"[^'\\\n]*"),
+}
+#: The hex digits a ``\u`` / ``\x`` escape needs, and its name in errors.
+_HEX_ESCAPES = {
+    "u": (re.compile(r"[0-9a-fA-F]{4}"), "unicode"),
+    "x": (re.compile(r"[0-9a-fA-F]{2}"), "hex"),
+}
+#: An ordered alternation tries the punctuators in table order (longest
+#: first), so the first alternative that matches is the maximal munch.
+_PUNCTUATOR_RE = re.compile("|".join(re.escape(punct) for punct in PUNCTUATORS))
 
 
 class Lexer:
@@ -46,127 +76,107 @@ class Lexer:
 
     # -- internals -----------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+    def _move_to(self, end: int) -> None:
+        """Consume ``source[pos:end]``, keeping line and column in step."""
+        newlines = self.source.count("\n", self.pos, end)
+        if newlines:
+            self.line += newlines
+            self.column = end - self.source.rfind("\n", self.pos, end)
+        else:
+            self.column += end - self.pos
+        self.pos = end
 
     def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise JsSyntaxError("unterminated block comment", self.line, self.column)
-            else:
-                return
+        match = _TRIVIA_RE.match(self.source, self.pos)
+        if match is not None:
+            self._move_to(match.end())
+        if self.source.startswith("/*", self.pos):
+            self._move_to(len(self.source))
+            raise JsSyntaxError("unterminated block comment", self.line, self.column)
 
     def _next_token(self) -> Token:
         self._skip_trivia()
         line, column = self.line, self.column
-        if self.pos >= len(self.source):
+        source, pos = self.source, self.pos
+        if pos >= len(source):
             return Token(TokenType.EOF, "", line, column)
-        char = self._peek()
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
+        char = source[pos]
+        if char in _ASCII_DIGITS or (
+            char == "." and source[pos + 1:pos + 2] in _ASCII_DIGITS
+        ):
             return self._read_number(line, column)
         if char in "\"'":
             return self._read_string(line, column)
         if char.isalpha() or char in "_$":
-            return self._read_identifier(line, column)
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenType.PUNCTUATOR, punct, line, column)
+            # Identifiers and punctuators hold no newline: only the
+            # column moves.
+            end = _IDENT_TAIL_RE.match(source, pos + 1).end()
+            word = source[pos:end]
+            self.column += end - pos
+            self.pos = end
+            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENTIFIER
+            return Token(kind, word, line, column)
+        match = _PUNCTUATOR_RE.match(source, pos)
+        if match is not None:
+            self.column += match.end() - pos
+            self.pos = match.end()
+            return Token(TokenType.PUNCTUATOR, match.group(), line, column)
         raise JsSyntaxError(f"unexpected character {char!r}", line, column)
 
     def _read_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            return Token(TokenType.NUMBER, self.source[start:self.pos], line, column)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E"):
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            if not self._peek().isdigit():
+        source, start = self.source, self.pos
+        match = _HEX_RE.match(source, start)
+        if match is not None:
+            end = match.end()
+            self._move_to(end)
+            if end - start == 2:
+                raise JsSyntaxError("malformed hex literal", self.line, self.column)
+            return Token(TokenType.NUMBER, source[start:end], line, column)
+        end = _DECIMAL_RE.match(source, start).end()
+        if source[end:end + 1] in ("e", "E"):
+            end += 1
+            if source[end:end + 1] in ("+", "-"):
+                end += 1
+            if source[end:end + 1] not in _ASCII_DIGITS:
+                self._move_to(end)
                 raise JsSyntaxError("malformed exponent", self.line, self.column)
-            while self._peek().isdigit():
-                self._advance()
-        return Token(TokenType.NUMBER, self.source[start:self.pos], line, column)
+            end = _DIGITS_RE.match(source, end).end()
+        self._move_to(end)
+        return Token(TokenType.NUMBER, source[start:end], line, column)
 
     def _read_string(self, line: int, column: int) -> Token:
-        quote = self._peek()
-        self._advance()
+        source = self.source
+        quote = source[self.pos]
+        run_re = _STRING_RUN_RE[quote]
+        self._move_to(self.pos + 1)
         parts: list[str] = []
         while True:
-            if self.pos >= len(self.source):
+            end = run_re.match(source, self.pos).end()
+            parts.append(source[self.pos:end])
+            self._move_to(end)
+            if end >= len(source):
                 raise JsSyntaxError("unterminated string literal", line, column)
-            char = self._peek()
+            char = source[end]
             if char == quote:
-                self._advance()
+                self._move_to(end + 1)
                 return Token(TokenType.STRING, "".join(parts), line, column)
             if char == "\n":
                 raise JsSyntaxError("newline in string literal", self.line, self.column)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape == "u":
-                    self._advance()
-                    hex_digits = self.source[self.pos:self.pos + 4]
-                    if len(hex_digits) < 4:
-                        raise JsSyntaxError("bad unicode escape", self.line, self.column)
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(4)
-                    continue
-                if escape == "x":
-                    self._advance()
-                    hex_digits = self.source[self.pos:self.pos + 2]
-                    if len(hex_digits) < 2:
-                        raise JsSyntaxError("bad hex escape", self.line, self.column)
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(2)
-                    continue
-                parts.append(_ESCAPES.get(escape, escape))
-                self._advance()
+            # A backslash escape.
+            self._move_to(end + 1)
+            escape = source[self.pos:self.pos + 1]
+            if escape in _HEX_ESCAPES:
+                digits_re, kind = _HEX_ESCAPES[escape]
+                self._move_to(self.pos + 1)
+                match = digits_re.match(source, self.pos)
+                if match is None:
+                    raise JsSyntaxError(f"bad {kind} escape", self.line, self.column)
+                parts.append(chr(int(match.group(), 16)))
+                self._move_to(match.end())
                 continue
-            parts.append(char)
-            self._advance()
-
-    def _read_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            self._advance()
-        word = self.source[start:self.pos]
-        kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENTIFIER
-        return Token(kind, word, line, column)
+            parts.append(_ESCAPES.get(escape, escape))
+            if escape:
+                self._move_to(self.pos + 1)
 
 
 def tokenize(source: str) -> list[Token]:

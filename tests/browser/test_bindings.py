@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.browser.bindings as bindings_module
 from repro.browser import Browser
 from repro.clock import CostModel
+from repro.dom import inner_html
+from repro.dom.hashing import clear_digest_memo
 from repro.errors import JsTypeError
 from repro.net import Response, RoutedServer
 
@@ -141,6 +144,82 @@ class TestElementHost:
         page = load('<div id="x"></div>')
         element = page.document.get_element_by_id("x")
         assert page.wrap_element(element) is page.wrap_element(element)
+
+
+class _NoMemo(dict):
+    """A fragment memo that never keeps anything: every set re-parses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def count_fragment_parses(monkeypatch):
+    calls = []
+    original = bindings_module.parse_fragment
+
+    def counting(markup):
+        calls.append(markup)
+        return original(markup)
+
+    monkeypatch.setattr(bindings_module, "parse_fragment", counting)
+    return calls
+
+
+class TestInnerHtmlMemo:
+    MARKUP = '<p class="c" id="p">one <b>two</b></p>'
+
+    def set_html(self, page, element_id, markup=MARKUP):
+        page.execute_js(
+            f"document.getElementById('{element_id}').innerHTML = '{markup}';"
+        )
+
+    def test_repeat_insertion_is_pristine_after_mutating_the_first(self, monkeypatch):
+        calls = count_fragment_parses(monkeypatch)
+        page = load('<div id="a"></div><div id="b"></div>')
+        self.set_html(page, "a")
+        page.execute_js(
+            "var p = document.getElementById('p');"
+            " p.setAttribute('class', 'changed'); p.textContent = 'mutated';"
+        )
+        self.set_html(page, "b")
+        first = page.document.get_element_by_id("a")
+        second = page.document.get_element_by_id("b")
+        assert inner_html(first) == '<p class="changed" id="p">mutated</p>'
+        assert inner_html(second) == self.MARKUP
+        assert first.children[0] is not second.children[0]
+        assert calls == [self.MARKUP]
+
+    def test_hash_stats_equal_fresh_parses(self):
+        def run(memo):
+            clear_digest_memo()
+            page = load('<div id="a">x</div><div id="b">y</div>')
+            if not memo:
+                page.fragment_prototypes = _NoMemo()
+            hashes = [page.hash_state().state]
+            base = page.snapshot()
+            for element_id in ("a", "b", "a"):
+                self.set_html(page, element_id)
+                hashes.append(page.hash_state().state)
+                page.restore(base)
+                hashes.append(page.hash_state().state)
+            self.set_html(page, "b", "<i>other</i>")
+            self.set_html(page, "a")
+            hashes.append(page.hash_state().state)
+            return hashes, page.hash_stats.snapshot()
+
+        assert run(memo=True) == run(memo=False)
+
+    def test_pages_do_not_share_the_memo(self, monkeypatch):
+        calls = count_fragment_parses(monkeypatch)
+        browser = make_browser('<div id="a"></div>')
+        one = browser.load("http://b.test/page")
+        two = browser.load("http://b.test/page")
+        self.set_html(one, "a")
+        self.set_html(one, "a")
+        assert two.fragment_prototypes == {}
+        self.set_html(two, "a")
+        assert calls == [self.MARKUP, self.MARKUP]
+        assert inner_html(two.document.get_element_by_id("a")) == self.MARKUP
 
 
 class TestWindowHost:

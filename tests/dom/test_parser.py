@@ -67,8 +67,10 @@ class TestBasicParsing:
         assert doc.body.text_content == "x"
 
     def test_entities_in_text(self):
-        (node,) = parse_fragment("<p>a &amp; b &lt;c&gt; &#39;q&#39; &#x41;</p>")
-        assert node.text_content == "a & b <c> 'q' A"
+        (node,) = parse_fragment(
+            "<p>a &amp; b &lt;c&gt; &#39;q&#39; &#x41;&nbsp;&apos;</p>"
+        )
+        assert node.text_content == "a & b <c> 'q' A\u00a0'"
 
     def test_entities_in_attributes(self):
         (node,) = parse_fragment('<div title="a &quot;b&quot;"></div>')

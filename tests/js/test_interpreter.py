@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.errors import JsReferenceError, JsTypeError
+import repro.js.interpreter as interpreter_module
+from repro.errors import JsReferenceError, JsSyntaxError, JsTypeError
 from repro.js import (
     Interpreter,
     JSArray,
@@ -356,3 +357,32 @@ class TestHostIntegration:
         before = interp.steps
         run(interp, "var x = 0; for (var i = 0; i < 10; i++) { x += i; }")
         assert interp.steps > before
+
+
+class TestProgramMemo:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        original = interpreter_module.parse_program
+
+        def counting(source):
+            calls.append(source)
+            return original(source)
+
+        monkeypatch.setattr(interpreter_module, "parse_program", counting)
+        return calls
+
+    def test_each_source_parsed_once_per_interpreter(self, interp, parses):
+        source = "var n = (typeof n == 'undefined') ? 1 : n + 1; n;"
+        assert [interp.run(source) for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert parses == [source]
+
+    def test_syntax_errors_are_not_cached(self, interp, parses):
+        for _ in range(2):
+            with pytest.raises(JsSyntaxError):
+                interp.run("var = ;")
+        assert parses == ["var = ;", "var = ;"]
+
+    def test_interpreters_do_not_share_programs(self, parses):
+        assert Interpreter().run("1 + 1;") == Interpreter().run("1 + 1;") == 2.0
+        assert parses == ["1 + 1;", "1 + 1;"]

@@ -1,10 +1,12 @@
 """Unit tests for the JavaScript lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import JsSyntaxError
 from repro.js import tokenize
-from repro.js.tokens import TokenType
+from repro.js.tokens import PUNCTUATORS, TokenType
+from tests.js.reference_lexer import reference_tokenize
 
 
 def kinds(source):
@@ -121,3 +123,63 @@ class TestPositions:
         tokens = tokenize("")
         assert len(tokens) == 1
         assert tokens[0].type is TokenType.EOF
+
+
+class TestNonAsciiInput:
+    """Numeric literals and escape digits are ASCII-only (the numeric
+    regressions are pinned in tests/testgen/test_fuzz.py); identifiers
+    keep Unicode letters and digits."""
+
+    def test_non_ascii_digit_continues_an_identifier(self):
+        assert kinds("a\u00b2") == [(TokenType.IDENTIFIER, "a\u00b2")]
+
+    @pytest.mark.parametrize(
+        "source", ['"\\uZZZZ"', '"\\u 12 "', '"\\x1_"', '"\\u\u0661\u0662\u0663\u0664"']
+    )
+    def test_non_hex_escape_is_syntax_error(self, source):
+        with pytest.raises(JsSyntaxError, match="escape"):
+            tokenize(source)
+
+
+# -- the character-at-a-time lexer as oracle ----------------------------------
+
+def outcome(lex, source):
+    """The token stream, or the syntax error message, of ``lex(source)``."""
+    try:
+        return [(t.type, t.value, t.line, t.column) for t in lex(source)]
+    except JsSyntaxError as error:
+        return str(error)
+
+
+_FRAGMENTS = st.sampled_from(
+    list(PUNCTUATORS)
+    + [" ", "\t", "\r", "\n", "//", "/*", "*/", "'", '"', "\\", "\\u", "\\x",
+       "0x", "0X", "1e", "e+", ".", "0", "42", "3.5", "ff", "var", "in", "_", "$",
+       "\u00e9", "\u0661", "\u00b2", "\u0301", "\u2167", "\u0130", "\u00a0", "#", "@"]
+)
+_JS_LIKE = st.lists(_FRAGMENTS | st.text(max_size=3), max_size=40).map("".join)
+
+
+class TestMatchesReferenceLexer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+    def test_arbitrary_text(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_JS_LIKE)
+    def test_js_like_text(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "function f(a, b) { return a >= b ? 'x\\n' : \"y\\u0041\"; }\n// c\n/* d\ne */ f(1.5e-3, 0x1F);",
+            "/* never closed\n  ...",
+            "'a\\\nb'",
+            "x /**/ y /*/ z",
+            "1..2 .5 5. 1e+",
+        ],
+    )
+    def test_pinned_sources(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)

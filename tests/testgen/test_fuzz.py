@@ -4,6 +4,7 @@ import pytest
 
 import repro.testgen.fuzz as fuzz_module
 from repro.crawler import CrawlerConfig
+from repro.dom import hash_tree, parse_document
 from repro.errors import JsRuntimeError, JsSyntaxError
 from repro.testgen.noisy import VOLATILE_MARKER_SUBSTRINGS
 from repro.js import Interpreter
@@ -86,6 +87,51 @@ class TestSubstrateRegressions:
             " f(20);"
         )
         assert Interpreter().run(source) == 20
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("var x = \u00b2;", "unexpected character '\u00b2' (line 1, column 9)"),
+            ("var y = 0x;", "malformed hex literal (line 1, column 11)"),
+            ("var x = \u0661\u0662;", "unexpected character '\u0661' (line 1, column 9)"),
+        ],
+    )
+    def test_numeric_literals_are_ascii_only(self, source, message):
+        # These used to leak ValueError, or (Arabic-Indic digits) read as 12.
+        with pytest.raises(JsSyntaxError) as info:
+            Interpreter().run(source)
+        assert str(info.value) == message
+        assert run_case(FuzzCase(kind="js", seed=0, text=source)) is None
+
+    @pytest.mark.parametrize(
+        "reference, text",
+        [
+            ("&#abc;", "&#abc;"),
+            ("&#99999999;", "\ufffd"),
+            ("&#x110000;", "\ufffd"),
+            ("&#xD800;", "\ufffd"),
+            ("&#X41;&#x41;&#0065;", "AAA"),
+        ],
+    )
+    def test_numeric_character_references_never_raise(self, reference, text):
+        document = parse_document(f"<p>{reference}</p>")
+        assert document.text_content == text
+        hash_tree(document)  # a lone surrogate used to fail to encode here
+        assert run_case(FuzzCase(kind="markup", seed=0, text=reference)) is None
+
+    @pytest.mark.parametrize(
+        "html, body",
+        [
+            # 'İ'.lower() is two code points: a lower()-copy index drifts.
+            ("<p>\u0130\u0130\u0130\u0130</p><script>var x = 1;</script>", "var x = 1;"),
+            # Only ASCII case folds: neither 'ſ' nor 'İ' matches 's'/'i'.
+            ("<script>a</\u017fcript>b</SCRIPT>", "a</\u017fcript>b"),
+            ("<script>a</SCR\u0130PT>b</scRipt >", "a</SCR\u0130PT>b"),
+        ],
+    )
+    def test_raw_text_body_ends_at_its_close_tag(self, html, body):
+        [script] = parse_document(html).get_elements_by_tag("script")
+        assert script.children[0].data == body
 
 
 class TestShrinking:
